@@ -21,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.automaton import AutomatonBaseline, supports
-from repro.baselines.sql import SqlBaseline
+from repro.baselines import SqlBaseline
 from repro.core.eval.indexed import IndexedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.parser import parse

@@ -9,7 +9,7 @@ algorithms are unchanged, only the representation is columnar.
 
 Also asserted unconditionally, on every run:
 
-* byte-for-byte equality of the sqlite pushdown backend against both
+* byte-for-byte equality of the sqlite pushdown engine against both
   in-process engines on the same workload;
 * round-trip fidelity ``ColumnarLog.from_log(log).to_log() == log``.
 

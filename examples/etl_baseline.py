@@ -17,7 +17,7 @@ Run:  python examples/etl_baseline.py
 import time
 
 from repro import Query
-from repro.baselines.sql import SqlWarehouse, compile_to_sql
+from repro.baselines import SqlWarehouse, compile_to_sql
 from repro.core.errors import EvaluationError
 from repro.core.parser import parse
 from repro.workflow import SimulationConfig, WorkflowEngine

@@ -390,7 +390,7 @@ _default_lock = threading.Lock()
 
 def get_default_cache() -> QueryCache:
     """The process-wide shared :class:`QueryCache` (default policy),
-    created on first use.  ``Query(..., cache=True)`` and the CLI's
+    created on first use.  ``EngineOptions(cache=True)`` and the CLI's
     ``--cache`` resolve here, so separate queries share warm state."""
     global _default_cache
     with _default_lock:

@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=sorted(ENGINES),
         default=None,
-        help="engine (default: indexed; --backend sqlite implies sqlite)",
+        help="engine (default: indexed; 'sqlite' compiles the pattern to "
+        "SQL over the columnar schema)",
     )
     query.add_argument(
         "--no-optimize", action="store_true", help="skip the query optimizer"
@@ -245,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=tuple(b.value for b in Backend.requestable()),
         default=None,
-        help="execution backend: a sharded-executor backend (implies "
-        "--jobs; default auto) or 'sqlite' to compile the pattern to SQL "
-        "over the columnar schema",
+        help="sharded-executor backend (implies --jobs; default auto)",
     )
     query.add_argument(
         "--progress",
@@ -576,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--backend",
         choices=tuple(
-            b.value for b in Backend.executor() if b is not Backend.AUTO
+            b.value for b in Backend.requestable() if b is not Backend.AUTO
         ),
         default="process",
         help="backend used when --jobs > 1",

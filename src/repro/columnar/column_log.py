@@ -13,7 +13,7 @@ contiguous integer columns plus two interning dictionaries:
 Rows are ordered by ``(wid ascending, is_lsn ascending)``, so every
 workflow instance occupies one contiguous row range ``[starts[i],
 starts[i+1])``.  Engines operating set-at-a-time (the vectorized engine,
-the sqlite pushdown backend) slice per-wid column windows instead of
+the sqlite pushdown engine) slice per-wid column windows instead of
 walking object records; a per-activity row index (ascending row numbers
 per ``act_id``) gives the bitmap-filter equivalent of
 ``Log.with_activity``.

@@ -29,14 +29,13 @@ from repro.core.pattern import (
     sequential,
 )
 from repro.core.backend import Backend
-from repro.core.options import BACKENDS, EngineOptions
+from repro.core.options import EngineOptions
 from repro.core.query import ENGINES, Query
 from repro.core.view import LogView, RecordsView
 
 __all__ = [
     "EngineOptions",
     "Backend",
-    "BACKENDS",
     "LogView",
     "RecordsView",
     "ReproError",

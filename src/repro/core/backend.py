@@ -14,23 +14,15 @@ coerced to members at the API boundary by :meth:`Backend.coerce`, which
 is also where unknown names fail with an error listing the valid
 members.
 
-Not every member is meaningful in every position:
-
-* ``AUTO``/``SERIAL``/``THREAD``/``PROCESS`` — the sharded-executor
-  backends (:data:`Backend.executor`);
-* ``SQLITE`` — the SQL pushdown backend: evaluation is compiled to SQL
-  over the columnar schema (:mod:`repro.columnar.sqlite`) instead of
-  being sharded, so it is *requestable* on
-  :class:`~repro.core.options.EngineOptions` but rejected by the
-  executor;
-* ``CACHE`` — a reporting label only (a warm result-cache hit short-cuts
-  the fan-out and the outcome says so); it is never requestable.
+``CACHE`` is a reporting label only (a warm result-cache hit short-cuts
+the fan-out and the outcome says so); it is never requestable.  SQL
+pushdown is an *engine* (``EngineOptions(engine="sqlite")``), not a
+backend: it evaluates in-database instead of choosing how to fan out.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
 
 from repro.core.errors import ReproError
 
@@ -50,8 +42,6 @@ class Backend(str, Enum):
     PROCESS = "process"
     #: Served from the result cache — reporting label, never requestable.
     CACHE = "cache"
-    #: SQL pushdown: compile the pattern to SQL over the columnar schema.
-    SQLITE = "sqlite"
 
     # str-mixin behaviour, matching enum.StrEnum (python >= 3.11) so the
     # members format/print as their plain values on 3.10 too
@@ -61,30 +51,17 @@ class Backend(str, Enum):
     @classmethod
     def requestable(cls) -> tuple["Backend", ...]:
         """Members a caller may ask for (everything except ``CACHE``)."""
-        return (cls.AUTO, cls.SERIAL, cls.THREAD, cls.PROCESS, cls.SQLITE)
-
-    @classmethod
-    def executor(cls) -> tuple["Backend", ...]:
-        """Members the sharded parallel executor accepts."""
         return (cls.AUTO, cls.SERIAL, cls.THREAD, cls.PROCESS)
 
     @classmethod
-    def coerce(
-        cls,
-        value: "Backend | str",
-        *,
-        allow: Iterable["Backend"] | None = None,
-        where: str = "backend",
-    ) -> "Backend":
+    def coerce(cls, value: "Backend | str", *, where: str = "backend") -> "Backend":
         """``value`` as a :class:`Backend` member.
 
-        Accepts members and their string values (the legacy spelling).
-        ``allow`` restricts the valid members for this position (e.g.
-        :meth:`executor` inside the parallel executor); the default is
-        :meth:`requestable`.  Unknown or disallowed values raise
-        :class:`~repro.core.errors.ReproError` naming the valid members.
+        Accepts members and their string values.  Unknown values and the
+        ``CACHE`` label raise :class:`~repro.core.errors.ReproError`
+        naming the requestable members.
         """
-        allowed = tuple(allow) if allow is not None else cls.requestable()
+        allowed = cls.requestable()
         try:
             member = value if isinstance(value, cls) else cls(value)
         except ValueError:

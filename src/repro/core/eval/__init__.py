@@ -13,9 +13,9 @@ Three in-process engines share one semantics (Definition 4):
   core (:mod:`repro.columnar`), with position-tuple intermediates.
 
 (A fourth, the SQL pushdown :class:`~repro.columnar.SqliteEngine`, lives
-with its schema in :mod:`repro.columnar`.)  All satisfy the
-:class:`~repro.core.eval.base.Engine` interface; tests differential-check
-them against the Definition 4 oracle in
+with its compiler and schemas in :mod:`repro.columnar.sqlite`.)  All
+satisfy the :class:`~repro.core.eval.base.Engine` interface; tests
+differential-check them against the Definition 4 oracle in
 :func:`repro.core.incident.reference_incidents`.
 """
 

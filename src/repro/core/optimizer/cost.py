@@ -224,22 +224,12 @@ class DispatchCostModel:
     min_parallel_cost:
         Plans estimated cheaper than this never leave the calling
         process, whatever the requested backend count.
-    sqlite_load_cost:
-        Per-record cost of bulk-loading the columnar arrays into the
-        in-memory SQLite warehouse (``backend="sqlite"``), paid once per
-        log thanks to the per-columnar warehouse cache.
-    sqlite_row_cost:
-        Per-pair cost multiplier of evaluating the compiled SQL relative
-        to one pure-Python pair: SQLite's C join loop examines a pair far
-        cheaper than the interpreter does.
     """
 
     process_worker_cost: float = 60_000.0
     process_record_cost: float = 4.0
     thread_worker_cost: float = 2_000.0
     min_parallel_cost: float = 250_000.0
-    sqlite_load_cost: float = 6.0
-    sqlite_row_cost: float = 0.1
 
     def overhead(self, backend: str, jobs: int, records: int) -> float:
         """Fixed dispatch cost of running ``jobs`` workers over a log of
@@ -248,8 +238,6 @@ class DispatchCostModel:
             return self.process_worker_cost * jobs + self.process_record_cost * records
         if backend == "thread":
             return self.thread_worker_cost * jobs
-        if backend == "sqlite":
-            return self.sqlite_load_cost * records
         return 0.0
 
     def effective_workers(self, backend: str, jobs: int) -> int:
@@ -261,10 +249,7 @@ class DispatchCostModel:
         self, backend: str, jobs: int, records: int, plan_cost: float
     ) -> float:
         """Estimated wall-clock cost of one evaluation: dispatch overhead
-        plus the plan cost divided by the truly concurrent workers (for
-        ``"sqlite"``, the plan cost scaled by the in-database pair cost)."""
-        if backend == "sqlite":
-            return self.overhead(backend, jobs, records) + plan_cost * self.sqlite_row_cost
+        plus the plan cost divided by the truly concurrent workers."""
         return self.overhead(backend, jobs, records) + plan_cost / self.effective_workers(
             backend, jobs
         )
@@ -272,11 +257,7 @@ class DispatchCostModel:
     def choose_backend(self, jobs: int, records: int, plan_cost: float) -> str:
         """The backend with the least estimated wall cost for this plan:
         ``"serial"`` when the plan is too small to amortise a pool,
-        ``"process"`` otherwise.
-
-        ``"sqlite"`` is deliberately not an auto-dispatch candidate: the
-        pushdown schema cannot evaluate attribute-guarded leaves, so it
-        only runs when requested explicitly (``backend="sqlite"``)."""
+        ``"process"`` otherwise."""
         if plan_cost < self.min_parallel_cost or jobs <= 1:
             return "serial"
         candidates = ("serial", "process")

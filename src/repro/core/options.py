@@ -11,10 +11,6 @@ travels unchanged into the parallel executor and the CLI::
 
     opts = EngineOptions(jobs=4, backend="process", cache=True)
     q = Query("UpdateRefer -> GetReimburse", opts)
-
-The legacy keyword arguments still work on :class:`~repro.core.query.Query`
-through a :class:`DeprecationWarning` shim; see ``README.md`` for the
-migration snippet.
 """
 
 from __future__ import annotations
@@ -34,13 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
 
-__all__ = ["EngineOptions", "BACKENDS"]
-
-#: Execution backends accepted by :attr:`EngineOptions.backend` — the
-#: string values of :meth:`repro.core.backend.Backend.requestable`.
-#: Kept as a plain string tuple for backwards compatibility; prefer the
-#: :class:`~repro.core.backend.Backend` members.
-BACKENDS: tuple[str, ...] = tuple(m.value for m in Backend.requestable())
+__all__ = ["EngineOptions"]
 
 
 @dataclass(frozen=True)
@@ -51,7 +41,9 @@ class EngineOptions:
     Attributes
     ----------
     engine:
-        Engine name (``"naive"``/``"indexed"``), an
+        Engine name (a :data:`~repro.core.query.ENGINES` key: ``"naive"``,
+        ``"indexed"``, ``"vectorized"`` or ``"sqlite"`` for SQL pushdown
+        over the columnar schema), an
         :class:`~repro.core.eval.base.Engine` instance, or None for the
         default indexed engine.
     optimize:
@@ -67,13 +59,11 @@ class EngineOptions:
         Worker count for sharded parallel evaluation; None keeps the
         query serial unless ``backend`` is set (then one worker per CPU).
     backend:
-        Execution backend — a :class:`~repro.core.backend.Backend` member
-        or its string value (one of :data:`BACKENDS`); None means serial
-        evaluation (``"auto"`` when only ``jobs`` is given).  The
-        sharded-executor members fan evaluation out over wid shards;
-        ``Backend.SQLITE`` pushes the pattern down to SQL over the
-        columnar schema instead.  Replaces the legacy ``parallel=``
-        keyword; strings are coerced to members at construction.
+        Execution backend — one of
+        :meth:`Backend.requestable() <repro.core.backend.Backend.requestable>`
+        or its string value; None means serial evaluation (``"auto"``
+        when only ``jobs`` is given).  Any backend fans evaluation out
+        over wid shards; strings are coerced to members at construction.
     strategy:
         Shard-partitioning strategy for parallel runs (``"hash"`` or
         ``"range"``).
@@ -127,17 +117,6 @@ class EngineOptions:
     def __post_init__(self) -> None:
         if self.backend is not None:
             object.__setattr__(self, "backend", Backend.coerce(self.backend))
-        if self.backend is Backend.SQLITE:
-            if self.engine is not None and self.engine != "sqlite":
-                raise ReproError(
-                    f"backend='sqlite' selects the SQL pushdown engine; "
-                    f"it cannot be combined with engine={self.engine!r}"
-                )
-            if self.jobs is not None:
-                raise ReproError(
-                    "backend='sqlite' evaluates in-database; "
-                    "it cannot be combined with jobs"
-                )
         if self.jobs is not None and self.jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {self.jobs}")
         if self.strategy not in ("hash", "range"):
@@ -158,10 +137,7 @@ class EngineOptions:
     @property
     def is_parallel(self) -> bool:
         """Whether these options route evaluation through the sharded
-        parallel executor.  ``Backend.SQLITE`` is *not* parallel — it
-        pushes evaluation into the database instead of sharding."""
-        if self.backend is Backend.SQLITE:
-            return False
+        parallel executor."""
         return self.jobs is not None or self.backend is not None
 
     def replace(self, **changes: Any) -> "EngineOptions":

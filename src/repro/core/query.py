@@ -15,19 +15,10 @@ Execution behaviour is configured with one immutable
 :class:`~repro.core.options.EngineOptions` value::
 
     q = Query(pattern, EngineOptions(jobs=4, cache=True))
-
-The pre-redesign keyword arguments (``engine=``, ``optimize=``,
-``max_incidents=``, ``tracer=``, ``metrics=``, ``jobs=``, ``parallel=``,
-``progress=``) still work but emit a :class:`DeprecationWarning`; they
-are assembled into an equivalent ``EngineOptions`` internally.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any
-
-from repro.core.backend import Backend
 from repro.core.errors import QueryGovernorError, ReproError
 from repro.core.eval.base import Engine
 from repro.core.eval.indexed import IndexedEngine
@@ -52,21 +43,6 @@ ENGINES: dict[str, type[Engine]] = {
     IndexedEngine.name: IndexedEngine,
     VectorizedEngine.name: VectorizedEngine,
     SqliteEngine.name: SqliteEngine,
-}
-
-#: Sentinel distinguishing "not passed" from an explicit None.
-_UNSET: Any = object()
-
-#: Legacy Query keyword arguments and the EngineOptions field each maps to.
-_LEGACY_FIELDS = {
-    "engine": "engine",
-    "optimize": "optimize",
-    "max_incidents": "max_incidents",
-    "tracer": "tracer",
-    "metrics": "metrics",
-    "jobs": "jobs",
-    "parallel": "backend",
-    "progress": "progress",
 }
 
 
@@ -103,11 +79,6 @@ class Query:
     options:
         An :class:`~repro.core.options.EngineOptions` value; None for the
         defaults (indexed engine, optimizer on, serial, no cache).
-    **legacy:
-        The pre-``EngineOptions`` keyword arguments, accepted with a
-        :class:`DeprecationWarning` and merged into ``options``
-        (``parallel=`` maps to ``EngineOptions.backend``).  Passing both
-        ``options`` and a legacy keyword is an error.
 
     Attributes
     ----------
@@ -129,57 +100,12 @@ class Query:
         :meth:`explain` and the CLI.
     """
 
-    def __init__(
-        self,
-        pattern: Pattern | str,
-        options: EngineOptions | None = None,
-        *,
-        engine: str | Engine | None = _UNSET,
-        optimize: bool = _UNSET,
-        max_incidents: int | None = _UNSET,
-        tracer=_UNSET,
-        metrics=_UNSET,
-        jobs: int | None = _UNSET,
-        parallel: str | None = _UNSET,
-        progress=_UNSET,
-    ):
+    def __init__(self, pattern: Pattern | str, options: EngineOptions | None = None):
         if isinstance(pattern, str):
             pattern = parse(pattern)
         if not isinstance(pattern, Pattern):
             raise TypeError(f"expected Pattern or str, got {type(pattern).__name__}")
         self.pattern = pattern
-
-        legacy = {
-            name: value
-            for name, value in (
-                ("engine", engine),
-                ("optimize", optimize),
-                ("max_incidents", max_incidents),
-                ("tracer", tracer),
-                ("metrics", metrics),
-                ("jobs", jobs),
-                ("parallel", parallel),
-                ("progress", progress),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if options is not None:
-                raise TypeError(
-                    "pass either an EngineOptions or the legacy keyword "
-                    f"arguments, not both (got options and {sorted(legacy)})"
-                )
-            warnings.warn(
-                f"Query keyword arguments {sorted(legacy)} are deprecated; "
-                "pass an EngineOptions instead, e.g. "
-                "Query(pattern, EngineOptions(jobs=4)) — note parallel= "
-                "is now EngineOptions.backend",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = EngineOptions(
-                **{_LEGACY_FIELDS[name]: value for name, value in legacy.items()}
-            )
         self.options = options if options is not None else EngineOptions()
 
         from repro.cache.manager import resolve_cache
@@ -191,14 +117,6 @@ class Query:
 
     def _build_engine(self) -> Engine:
         opts = self.options
-        if opts.backend is Backend.SQLITE:
-            # the SQL pushdown backend *is* an engine: patterns compile to
-            # SQL over the columnar schema, so there is nothing to shard
-            return SqliteEngine(
-                max_incidents=opts.max_incidents,
-                tracer=opts.tracer,
-                metrics=opts.metrics,
-            )
         if (
             self.cache is not None
             and self.cache.policy.caches_memo
@@ -218,25 +136,6 @@ class Query:
         return _resolve_engine(
             opts.engine, opts.max_incidents, opts.tracer, opts.metrics
         )
-
-    # -- legacy attribute surface ------------------------------------------
-
-    @property
-    def optimize(self) -> bool:
-        return self.options.optimize
-
-    @property
-    def jobs(self) -> int | None:
-        return self.options.jobs
-
-    @property
-    def parallel(self) -> str | None:
-        """Legacy alias of :attr:`EngineOptions.backend`."""
-        return self.options.backend
-
-    @property
-    def progress(self):
-        return self.options.progress
 
     # -- execution -------------------------------------------------------
 
@@ -433,13 +332,14 @@ class Query:
             hit = self._cached_result(self._result_key(log))
             if hit is not None:
                 self.last_cache_layer = "result"
+                self.engine.last_stats = hit.stats
                 found = bool(hit.incidents)
             else:
                 self.last_cache_layer = None
                 found = self.engine.exists(log, self.plan(log).optimized)
             self._finish_run(
                 recorder,
-                stats=None if hit is not None else self.engine.last_stats,
+                stats=self.engine.last_stats,
                 incidents=int(found),
                 cache_before=None,
             )
@@ -462,6 +362,7 @@ class Query:
             hit = self._cached_result(self._result_key(log))
             if hit is not None:
                 self.last_cache_layer = "result"
+                self.engine.last_stats = hit.stats
                 n = len(hit.incidents)
             else:
                 self.last_cache_layer = None
@@ -471,12 +372,15 @@ class Query:
                         optimized=str(optimized), changed=optimized != self.pattern
                     )
                 if self.is_parallel:
-                    n = self._executor(ctx).count(log, optimized)
+                    executor = self._executor(ctx)
+                    n = executor.count(log, optimized)
+                    assert executor.last_result is not None
+                    self.engine.last_stats = executor.last_result.stats
                 else:
                     n = self.engine.count(log, optimized)
             self._finish_run(
                 recorder,
-                stats=None if hit is not None else self.engine.last_stats,
+                stats=self.engine.last_stats,
                 incidents=n,
                 cache_before=None,
             )

@@ -18,9 +18,9 @@ package exploits that:
 * :mod:`repro.exec.batch` — shared-scan evaluation of N queries at
   once, deduplicating common subpatterns across queries.
 
-High-level entry points: ``Query(..., jobs=4)`` routes single queries
-through the executor; :func:`evaluate_batch` (also exposed as
-``Query.evaluate_batch``) runs query batches.  See ``docs/PARALLELISM.md``.
+High-level entry points: ``Query(p, EngineOptions(jobs=4))`` routes
+single queries through the executor; :func:`evaluate_batch` (also
+exposed as ``Query.evaluate_batch``) runs query batches.  See ``docs/PARALLELISM.md``.
 """
 
 from repro.exec.backends import (

@@ -105,12 +105,10 @@ class ParallelExecutor:
         Worker count; defaults to the CPU count.
     backend:
         A :class:`~repro.core.backend.Backend` member or string value —
-        one of :meth:`Backend.executor() <repro.core.backend.Backend.executor>`
-        (``"auto"`` default).  Auto consults the dispatch cost model per
-        query and stays serial for plans too cheap to amortise a pool.
-        ``Backend.SQLITE`` is rejected here: SQL pushdown evaluates
-        in-database and never shards (route it through
-        :class:`~repro.core.query.Query` instead).
+        one of :meth:`Backend.requestable()
+        <repro.core.backend.Backend.requestable>` (``"auto"`` default).
+        Auto consults the dispatch cost model per query and stays serial
+        for plans too cheap to amortise a pool.
     strategy:
         Shard-partitioning strategy, ``"hash"`` (default) or ``"range"``.
     engine:
@@ -176,9 +174,7 @@ class ParallelExecutor:
         from repro.cache.manager import resolve_cache
 
         self.jobs = jobs if jobs is not None else default_jobs()
-        self.backend = Backend.coerce(
-            backend, allow=Backend.executor(), where="executor backend"
-        )
+        self.backend = Backend.coerce(backend, where="executor backend")
         self.strategy = strategy
         self.engine = _engine_config(engine, max_incidents)
         self.tracer = tracer

@@ -1,6 +1,6 @@
 """Persistent log storage in SQLite.
 
-Unlike the in-memory :class:`~repro.baselines.sql.SqlWarehouse` (a
+Unlike the in-memory :class:`~repro.columnar.sqlite.SqlWarehouse` (a
 *query* baseline with a fixed projection), this module is a *storage*
 backend: the full record — attribute maps included, JSON-encoded — is
 persisted, logs can be appended to across process restarts, and loads

@@ -199,7 +199,7 @@ class LogStore:
         and its :class:`~repro.columnar.ColumnarLog`; subsequent calls at
         the same epoch return the cached view (the store's epoch advances
         with every record, so staleness is impossible).  This is the
-        store-side entry point the vectorized and sqlite backends use to
+        store-side entry point the vectorized and sqlite engines use to
         amortise the columnar build across queries.
         """
         cached = self._columnar

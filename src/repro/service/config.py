@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.core.backend import Backend
 from repro.core.errors import ReproError
-from repro.core.options import BACKENDS
 from repro.core.query import ENGINES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -200,10 +200,11 @@ class ServiceConfig:
                 details={"available": sorted(ENGINES)},
             )
         backend = requested.get("backend")
-        if backend is not None and backend not in BACKENDS:
+        backends = [member.value for member in Backend.requestable()]
+        if backend is not None and backend not in backends:
             raise bad_request(
                 f"unknown backend {backend!r}",
-                details={"available": list(BACKENDS)},
+                details={"available": backends},
             )
 
         deadline_ms = requested.get("deadline_ms")

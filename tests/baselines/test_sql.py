@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.baselines.sql import SqlBaseline, SqlWarehouse, compile_to_sql
+from repro.baselines import SqlBaseline, SqlWarehouse, compile_to_sql
 from repro.core.algebra import random_logs
 from repro.core.errors import EvaluationError
 from repro.core.incident import reference_incidents

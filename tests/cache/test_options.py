@@ -1,16 +1,13 @@
 """EngineOptions: validation, the Query facade integration, and the
-legacy-keyword deprecation shim."""
+rejection of the retired Query keyword arguments."""
 
 import warnings
 
 import pytest
 
 from repro import EngineOptions, Query
+from repro.core.backend import Backend
 from repro.core.errors import ReproError
-from repro.core.model import Log
-from repro.core.options import BACKENDS
-
-LOG = Log.from_traces({1: ["A", "B"], 2: ["A"]})
 
 
 class TestEngineOptions:
@@ -32,7 +29,7 @@ class TestEngineOptions:
             EngineOptions(jobs=0)
         with pytest.raises(ReproError):
             EngineOptions(strategy="round-robin")
-        for backend in BACKENDS:
+        for backend in Backend.requestable():
             EngineOptions(backend=backend)
 
     def test_replace_returns_an_updated_copy(self):
@@ -52,7 +49,7 @@ class TestQueryWithOptions:
             warnings.simplefilter("error", DeprecationWarning)
             query = Query("A -> B", EngineOptions(engine="naive", jobs=2))
         assert query.engine.name == "naive"
-        assert query.jobs == 2
+        assert query.options.jobs == 2
         assert query.is_parallel
 
     def test_one_options_value_is_shareable_across_queries(self):
@@ -64,26 +61,23 @@ class TestQueryWithOptions:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="EngineOptions"):
-            query = Query("A -> B", engine="naive", optimize=False)
-        assert query.engine.name == "naive"
-        assert query.options.optimize is False
-        # behaviour matches the options spelling
-        assert query.run(LOG) == Query(
-            "A -> B", EngineOptions(engine="naive", optimize=False)
-        ).run(LOG)
-
-    def test_legacy_parallel_maps_to_backend(self):
-        with pytest.warns(DeprecationWarning):
-            query = Query("A -> B", jobs=2, parallel="serial")
-        assert query.options.backend == "serial"
-        assert query.parallel == "serial"  # legacy read alias survives
+    @pytest.mark.parametrize(
+        "keyword",
+        [
+            "engine",
+            "optimize",
+            "max_incidents",
+            "tracer",
+            "metrics",
+            "jobs",
+            "parallel",
+            "progress",
+        ],
+    )
+    def test_legacy_kwargs_are_rejected(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            Query("A -> B", **{keyword: None})
 
     def test_options_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="engine"):
             Query("A -> B", EngineOptions(), engine="naive")
-
-    def test_explicit_none_still_counts_as_legacy_usage(self):
-        with pytest.warns(DeprecationWarning):
-            Query("A -> B", max_incidents=None)

@@ -1,9 +1,10 @@
-"""Cross-engine equivalence: naive ≡ indexed ≡ vectorized ≡ sqlite.
+"""Cross-engine equivalence: naive ≡ indexed ≡ vectorized ≡ sqlite ≡ sql.
 
-The acceptance sweep for the columnar PR: on ≥200 seeded random
+The acceptance sweep for the columnar log core: on ≥200 seeded random
 pattern/log pairs every engine — object-row naive and indexed, columnar
-vectorized, and the SQL pushdown — must produce the *same canonical
-incident rows* (``IncidentSet.to_rows()``, i.e. byte-for-byte once
+vectorized, and the one SQL compiler under both of its schemas (the
+interned pushdown and the text ETL baseline) — must produce the *same
+canonical incident rows* (``IncidentSet.to_rows()``, i.e. byte-for-byte once
 serialised), and the vectorized engine must additionally report the
 same work counters as the indexed engine it mirrors.
 """
@@ -12,6 +13,7 @@ import random
 
 import pytest
 
+from repro.baselines import SqlBaseline
 from repro.columnar import SqliteEngine
 from repro.core.algebra import random_logs
 from repro.core.eval.indexed import IndexedEngine
@@ -50,7 +52,7 @@ def test_sweep_is_large_enough():
 
 def test_engines_agree_on_seeded_sweep():
     naive, indexed = NaiveEngine(), IndexedEngine()
-    vectorized, sqlite = VectorizedEngine(), SqliteEngine()
+    vectorized, sqlite, sql = VectorizedEngine(), SqliteEngine(), SqlBaseline()
     for i, (pattern, log) in enumerate(CASE_LIST):
         reference = indexed.evaluate(log, pattern).to_rows()
         columnar = log.columnar()
@@ -63,6 +65,7 @@ def test_engines_agree_on_seeded_sweep():
             i,
             pattern,
         )
+        assert sql.evaluate(log, pattern).to_rows() == reference, (i, pattern)
         # the vectorized engine mirrors the indexed join algorithms, so
         # its work accounting is identical, not merely equivalent
         assert (
@@ -84,11 +87,12 @@ def test_spot_checks_against_the_oracle(case_index):
     oracle = reference_incidents(log, pattern)
     assert VectorizedEngine().evaluate(log, pattern) == oracle
     assert SqliteEngine().evaluate(log.columnar(), pattern) == oracle
+    assert SqlBaseline().evaluate(log, pattern) == oracle
 
 
 def test_exists_and_count_agree_across_engines():
     indexed, vectorized = IndexedEngine(), VectorizedEngine()
-    sqlite = SqliteEngine()
+    sqlite, sql = SqliteEngine(), SqlBaseline()
     for pattern, log in CASE_LIST[:60]:
         columnar = log.columnar()
         expected_count = len(indexed.evaluate(log, pattern))
@@ -96,3 +100,4 @@ def test_exists_and_count_agree_across_engines():
         assert indexed.exists(log, pattern) == (expected_count > 0)
         assert vectorized.exists(columnar, pattern) == (expected_count > 0)
         assert sqlite.exists(columnar, pattern) == (expected_count > 0)
+        assert sql.exists(log, pattern) == (expected_count > 0)

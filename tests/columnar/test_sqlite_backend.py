@@ -1,11 +1,11 @@
-"""The SQL pushdown backend: Query wiring, compiled-SQL evaluation,
-guarded-leaf rejection and the option conflicts around it."""
+"""The SQL pushdown engine: Query wiring, compiled-SQL evaluation over
+the interned schema, and guarded-leaf rejection."""
 
 import pytest
 
-from repro.columnar import ColumnarWarehouse, SqliteEngine
-from repro.columnar.sqlite import compile_columnar_sql
-from repro.core import Backend, EngineOptions, Query
+from repro.columnar import SqliteEngine, SqlWarehouse
+from repro.columnar.sqlite import INTERNED_SCHEMA, compile_to_sql
+from repro.core import EngineOptions, Query
 from repro.core.errors import EvaluationError, ReproError
 from repro.core.eval.indexed import IndexedEngine
 from repro.core.parser import parse
@@ -13,32 +13,29 @@ from repro.extensions import Compare, where
 
 
 class TestQueryWiring:
-    def test_backend_sqlite_builds_the_pushdown_engine(self, figure3_log):
-        query = Query("SeeDoctor -> PayTreatment", EngineOptions(backend="sqlite"))
+    def test_engine_sqlite_builds_the_pushdown_engine(self, figure3_log):
+        query = Query("SeeDoctor -> PayTreatment", EngineOptions(engine="sqlite"))
         assert isinstance(query.engine, SqliteEngine)
         reference = Query("SeeDoctor -> PayTreatment").run(figure3_log)
         assert query.run(figure3_log).to_rows() == reference.to_rows()
 
-    def test_backend_enum_member_works_too(self, figure3_log):
-        query = Query("GetRefer", EngineOptions(backend=Backend.SQLITE))
-        assert isinstance(query.engine, SqliteEngine)
-        assert query.count(figure3_log) == 3
-
     def test_engine_name_sqlite_is_registered(self, figure3_log):
-        query = Query("GetRefer", engine="sqlite")
+        query = Query("GetRefer", EngineOptions(engine="sqlite"))
         assert isinstance(query.engine, SqliteEngine)
         assert query.count(figure3_log) == 3
 
-    def test_sqlite_backend_rejects_jobs(self):
-        with pytest.raises(ReproError, match="jobs"):
-            EngineOptions(backend="sqlite", jobs=2)
+    def test_backend_sqlite_is_rejected(self):
+        with pytest.raises(ReproError, match="available"):
+            EngineOptions(backend="sqlite")
 
-    def test_sqlite_backend_rejects_other_engines(self):
-        with pytest.raises(ReproError, match="engine"):
-            EngineOptions(backend="sqlite", engine="indexed")
+    def test_sqlite_engine_shards_like_any_engine(self, figure3_log):
+        options = EngineOptions(engine="sqlite", jobs=2, backend="serial")
+        sharded = Query("SeeDoctor -> PayTreatment", options).run(figure3_log)
+        reference = Query("SeeDoctor -> PayTreatment").run(figure3_log)
+        assert sharded.to_rows() == reference.to_rows()
 
     def test_sqlite_backend_is_not_parallel(self):
-        assert EngineOptions(backend="sqlite").is_parallel is False
+        assert EngineOptions(engine="sqlite").is_parallel is False
 
 
 class TestEvaluation:
@@ -103,15 +100,17 @@ class TestWarehouse:
         assert engine._cache[1] is not warehouse  # new view: reload
 
     def test_warehouse_row_count_matches(self, figure3_log):
-        warehouse = ColumnarWarehouse(figure3_log.columnar())
+        warehouse = SqlWarehouse(figure3_log.columnar(), INTERNED_SCHEMA)
         (n,) = warehouse.connection.execute(
             "SELECT COUNT(*) FROM records"
         ).fetchone()
         assert n == len(figure3_log)
 
     def test_compiled_sql_mentions_the_schema(self, figure3_log):
-        branches = compile_columnar_sql(
-            parse("SeeDoctor -> PayTreatment"), figure3_log.columnar()
+        branches = compile_to_sql(
+            parse("SeeDoctor -> PayTreatment"),
+            INTERNED_SCHEMA,
+            figure3_log.columnar(),
         )
         assert len(branches) == 1
         sql = branches[0]

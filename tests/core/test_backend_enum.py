@@ -1,11 +1,11 @@
 """The ``Backend`` enum: string compatibility, coercion and the
-requestable/executor subsets."""
+requestable members."""
 
 import pytest
 
 from repro.core.backend import Backend
 from repro.core.errors import ReproError
-from repro.core.options import BACKENDS, EngineOptions
+from repro.core.options import EngineOptions
 from repro.exec.parallel import ParallelExecutor
 
 
@@ -14,21 +14,14 @@ class TestStringCompatibility:
         assert Backend.PROCESS == "process"
         assert str(Backend.PROCESS) == "process"
         assert f"{Backend.THREAD}" == "thread"
-        assert Backend.SQLITE in ("sqlite", "other")
+        assert Backend.SERIAL in ("serial", "other")
 
     def test_members_hash_like_their_values(self):
         table = {"process": 1, "serial": 2}
         assert table[Backend.PROCESS] == 1
 
-    def test_requestable_and_executor_subsets(self):
-        assert Backend.CACHE not in Backend.requestable()
-        assert Backend.SQLITE in Backend.requestable()
-        assert Backend.SQLITE not in Backend.executor()
-        assert Backend.CACHE not in Backend.executor()
-
-    def test_backends_tuple_tracks_the_enum(self):
-        assert BACKENDS == tuple(m.value for m in Backend.requestable())
-        assert "sqlite" in BACKENDS and "cache" not in BACKENDS
+    def test_every_member_but_cache_is_requestable(self):
+        assert set(Backend.requestable()) == set(Backend) - {Backend.CACHE}
 
 
 class TestCoerce:
@@ -44,11 +37,9 @@ class TestCoerce:
         for member in Backend.requestable():
             assert member.value in message
 
-    def test_allow_restricts_the_valid_set(self):
-        with pytest.raises(ReproError, match="executor backend"):
-            Backend.coerce(
-                "sqlite", allow=Backend.executor(), where="executor backend"
-            )
+    def test_sql_pushdown_is_an_engine_not_a_backend(self):
+        with pytest.raises(ReproError, match="unknown backend 'sqlite'"):
+            Backend.coerce("sqlite")
 
 
 class TestOptionIntegration:
@@ -58,7 +49,7 @@ class TestOptionIntegration:
         assert options.backend == "process"
 
     def test_unknown_backend_is_rejected_with_members(self):
-        with pytest.raises(ReproError, match="sqlite"):
+        with pytest.raises(ReproError, match="process"):
             EngineOptions(backend="warp-drive")
 
     def test_cache_backend_is_internal_only(self):

@@ -13,6 +13,7 @@ from repro.core.eval.indexed import IndexedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
 from repro.core.model import END, START, Log, LogRecord
+from repro.core.options import EngineOptions
 from repro.core.parser import parse, tokenize
 from repro.core.pattern import act, neg, parallel, sequential
 from repro.core.query import Query
@@ -33,7 +34,7 @@ class TestMinimalLogs:
     def test_negation_spans_sentinels(self):
         log = Log.from_traces([["A"]])
         # ¬A matches START and END (Definition 4: act(l) != t, no carve-out)
-        assert Query("!A", optimize=False).count(log) == 2
+        assert Query("!A", EngineOptions(optimize=False)).count(log) == 2
 
     def test_hundreds_of_tiny_instances(self):
         log = Log.from_traces({w: ["A"] for w in range(1, 301)})

@@ -1,10 +1,9 @@
 """The LogView access protocol: both representations satisfy it, the
-attribute/method dual access works, and the legacy mutation surface is
-shimmed to a DeprecationWarning + TypeError."""
+attribute/method dual access works, and the record view is an immutable
+tuple with no list-mutation surface."""
 
 import pytest
 
-from repro.columnar import ColumnarLog
 from repro.core.model import Log
 from repro.core.view import ActivitySet, LogView, RecordsView
 from repro.exec.shard import plan_shards
@@ -50,27 +49,18 @@ class TestProtocol:
         assert columnar.wid_slice(9999) == figure3_log.wid_slice(9999) == ()
 
 
-class TestMutationShims:
+class TestImmutability:
     @pytest.mark.parametrize("name", MUTATORS)
-    def test_list_mutators_warn_then_raise(self, figure3_log, name):
-        with pytest.warns(DeprecationWarning, match="immutable view"):
-            with pytest.raises(TypeError, match=name):
-                getattr(figure3_log.records, name)("anything")
+    def test_records_view_has_no_list_mutators(self, figure3_log, name):
+        assert not hasattr(figure3_log.records, name)
 
-    def test_item_assignment_warns_then_raises(self, figure3_log):
-        with pytest.warns(DeprecationWarning, match="immutable view"):
-            with pytest.raises(TypeError):
-                figure3_log.records[0] = None
+    def test_item_assignment_raises(self, figure3_log):
+        with pytest.raises(TypeError):
+            figure3_log.records[0] = None
 
-    def test_item_deletion_warns_then_raises(self, figure3_log):
-        with pytest.warns(DeprecationWarning, match="immutable view"):
-            with pytest.raises(TypeError):
-                del figure3_log.records[0]
-
-    def test_warning_names_the_log_store_alternative(self, figure3_log):
-        with pytest.warns(DeprecationWarning, match="LogStore"):
-            with pytest.raises(TypeError):
-                figure3_log.records.append(None)
+    def test_item_deletion_raises(self, figure3_log):
+        with pytest.raises(TypeError):
+            del figure3_log.records[0]
 
 
 class TestViewConsumers:

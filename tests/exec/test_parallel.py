@@ -5,6 +5,7 @@ import pytest
 from repro.core.eval.incremental import IncrementalEvaluator
 from repro.core.model import Log
 from repro.core.optimizer.cost import DispatchCostModel
+from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import ENGINES, Query
 from repro.exec import ParallelExecutor
@@ -142,12 +143,12 @@ def test_unknown_backend_and_engine_are_rejected(figure3_log):
 
 def test_query_jobs_routes_through_executor(clinic_log):
     serial = Query(PATTERN).run(clinic_log)
-    parallel = Query(PATTERN, jobs=2, parallel="serial").run(clinic_log)
+    parallel = Query(PATTERN, EngineOptions(jobs=2, backend="serial")).run(clinic_log)
     assert list(parallel) == list(serial)
 
 
 def test_query_parallel_count_and_stats(clinic_log):
-    query = Query("GetRefer -> CheckIn", jobs=2, parallel="serial")
+    query = Query("GetRefer -> CheckIn", EngineOptions(jobs=2, backend="serial"))
     count = query.count(clinic_log)
     assert count == Query("GetRefer -> CheckIn").count(clinic_log)
     query.run(clinic_log)
@@ -157,15 +158,15 @@ def test_query_parallel_count_and_stats(clinic_log):
 
 def test_query_process_pool_end_to_end(clinic_log):
     serial = Query(PATTERN).run(clinic_log)
-    parallel = Query(PATTERN, jobs=2, parallel="process").run(clinic_log)
+    parallel = Query(PATTERN, EngineOptions(jobs=2, backend="process")).run(clinic_log)
     assert list(parallel) == list(serial)
 
 
 def test_query_serial_by_default(clinic_log):
     query = Query(PATTERN)
     assert not query.is_parallel
-    assert Query(PATTERN, jobs=2).is_parallel
-    assert Query(PATTERN, parallel="process").is_parallel
+    assert Query(PATTERN, EngineOptions(jobs=2)).is_parallel
+    assert Query(PATTERN, EngineOptions(backend="process")).is_parallel
 
 
 # -- profiler ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.core.eval.incremental import IncrementalEvaluator
 from repro.core.eval.indexed import IndexedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.model import Log
+from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import Query
 from repro.obs.metrics import MetricsRegistry
@@ -85,7 +86,7 @@ class TestQueryForwarding:
     def test_query_threads_tracer_and_metrics(self):
         tracer = Tracer()
         registry = MetricsRegistry()
-        query = Query("A -> B", tracer=tracer, metrics=registry)
+        query = Query("A -> B", EngineOptions(tracer=tracer, metrics=registry))
         result = query.run(LOG)
         assert len(result) > 0
         assert tracer.last_root is not None
@@ -95,7 +96,7 @@ class TestQueryForwarding:
     def test_engine_instance_keeps_its_own_hooks(self):
         tracer = Tracer()
         engine = IndexedEngine(tracer=tracer)
-        Query("A -> B", engine=engine).run(LOG)
+        Query("A -> B", EngineOptions(engine=engine)).run(LOG)
         assert engine.tracer is tracer
         assert tracer.last_root is not None
 

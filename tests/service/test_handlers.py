@@ -200,6 +200,18 @@ class TestClamping:
         ]
 
 
+    def test_backend_sqlite_is_400(self, service):
+        response = post(
+            service,
+            "/v1/query",
+            {"log": "clinic", "pattern": "A", "options": {"backend": "sqlite"}},
+        )
+        assert response.status == 400
+        assert payload(response)["error"]["details"]["available"] == [
+            "auto", "serial", "thread", "process",
+        ]
+
+
 class TestQueryModes:
     def test_incidents_match_direct_query(self, service, clinic_log):
         pattern = "GetRefer -> CheckIn"
@@ -306,6 +318,20 @@ class TestCacheOverHttp:
         text = service.dispatch("GET", "/metrics").body().decode()
         assert metric_value(text, "repro_cache_result_misses") == 2.0
         assert metric_value(text, "repro_cache_result_hits") == 1.0
+
+    def test_count_replies_carry_stats(self, service):
+        body = {"log": "clinic", "pattern": "GetRefer -> CheckIn"}
+        post(service, "/v1/query", body)  # fills the result cache
+        cached = payload(post(service, "/v1/query", {**body, "mode": "count"}))
+        assert cached["cache_layer"] == "result"
+        assert cached["stats"]["pairs_examined"] > 0
+
+        sharded = payload(post(service, "/v1/query", {
+            "log": "clinic", "pattern": "GetRefer -> SeeDoctor",
+            "mode": "count", "options": {"jobs": 2},
+        }))
+        assert sharded["cache_layer"] is None
+        assert sharded["stats"] is not None
 
     def test_append_404_before_mutation(self, service):
         response = post(

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from repro.baselines.automaton import AutomatonBaseline, supports
-from repro.baselines.sql import SqlBaseline
+from repro.baselines import SqlBaseline
 from repro.core.errors import EvaluationError
 from repro.core.eval.counting import count_incidents
 from repro.core.eval.indexed import IndexedEngine

@@ -11,6 +11,7 @@ from repro.analytics import LiveMonitor, clinic_rules, count_by
 from repro.analytics.aggregate import attr_of
 from repro.cli import main
 from repro.core.eval.incremental import IncrementalEvaluator
+from repro.core.options import EngineOptions
 from repro.core.parser import parse
 from repro.core.query import Query
 from repro.logstore import (
@@ -106,6 +107,6 @@ class TestPipeline:
     def test_engines_and_count_paths_agree_end_to_end(self, clinic_log):
         for text in (FRAUD, "SeeDoctor ; PayTreatment",
                      "GetRefer ->[4] SeeDoctor"):
-            materialised = len(Query(text, engine="naive").run(clinic_log))
-            counted = Query(text, engine="indexed").count(clinic_log)
+            materialised = len(Query(text, EngineOptions(engine="naive")).run(clinic_log))
+            counted = Query(text, EngineOptions(engine="indexed")).count(clinic_log)
             assert counted == materialised, text

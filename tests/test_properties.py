@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.baselines.automaton import AutomatonBaseline, supports
-from repro.baselines.sql import SqlBaseline
+from repro.baselines import SqlBaseline
 from repro.core.eval.indexed import IndexedEngine
 from repro.core.eval.naive import NaiveEngine
 from repro.core.incident import reference_incidents
